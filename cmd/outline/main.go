@@ -47,9 +47,7 @@ func main() {
 		profIn  = flag.String("profile-in", "", "execution profile feeding remark verdicts and the -layout pass")
 	)
 	flag.Parse()
-	switch *onvf {
-	case outline.VerifyAbort, outline.VerifyRollbackRound, outline.VerifyDisableOutlining:
-	default:
+	if !outline.ValidVerifyFailure(*onvf) {
 		fatal(fmt.Errorf("unknown -on-verify-failure mode %q", *onvf))
 	}
 	if !layout.Valid(*layoutP) {
@@ -150,10 +148,14 @@ func main() {
 		OnVerifyFailure: *onvf,
 		Fault:           inj,
 		Profile:         prof,
-		Layout:          *layoutP,
 	})
 	if err != nil {
 		fatal(err)
+	}
+	if *layoutP != "" {
+		if _, err := layout.Apply(prog, layout.Options{Policy: *layoutP, Profile: prof, Tracer: tracer}); err != nil {
+			fatal(err)
+		}
 	}
 	if *trace != "" {
 		if err := tracer.WriteTraceFile(*trace); err != nil {

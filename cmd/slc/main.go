@@ -96,9 +96,7 @@ func main() {
 			}
 		}()
 	}
-	switch *onVerify {
-	case outline.VerifyAbort, outline.VerifyRollbackRound, outline.VerifyDisableOutlining:
-	default:
+	if !outline.ValidVerifyFailure(*onVerify) {
 		fatal(fmt.Errorf("unknown -on-verify-failure mode %q", *onVerify))
 	}
 	if flag.NArg() == 0 {

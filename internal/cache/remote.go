@@ -211,23 +211,6 @@ func (r *Remote) entryURL(shard int, id string) string {
 	return r.shards[shard] + "/entry/" + id
 }
 
-func (r *Remote) backoff(attempt int) {
-	d := retryBase << (attempt - 1)
-	if d > retryCap {
-		d = retryCap
-	}
-	r.sleepFor(d)
-}
-
-// sleepFor sleeps through the injectable clock so tests run at full speed.
-func (r *Remote) sleepFor(d time.Duration) {
-	if r.sleep != nil {
-		r.sleep(d)
-		return
-	}
-	time.Sleep(d)
-}
-
 // breakerAllows reports whether shard's breaker admits an operation,
 // counting a shed when it does not. Only a Closed breaker admits traffic;
 // HalfOpen admits the health probe alone.
@@ -388,7 +371,7 @@ func (r *Remote) get(ctx context.Context, id string) (raw []byte, shard int, ok 
 				break
 			}
 			pr.Retries++
-			r.backoff(attempt)
+			backoff(r.sleep, attempt)
 		}
 		var body []byte
 		var status int
@@ -446,7 +429,7 @@ func (r *Remote) put(ctx context.Context, id string, enc []byte) (pr Probe) {
 				break
 			}
 			pr.Retries++
-			r.backoff(attempt)
+			backoff(r.sleep, attempt)
 		}
 		var status int
 		ierr := r.slowOrError(fault.RemotePut, id, attempt)
@@ -492,7 +475,7 @@ func (r *Remote) slowOrError(site fault.Site, id string, attempt int) error {
 	key := fmt.Sprintf("%s#%d", id, attempt)
 	slowSite := fault.RemoteSlow
 	if r.fault.MaybeSlowPoint(slowSite, key) {
-		r.sleepFor(r.opts.Timeout)
+		sleepVia(r.sleep, r.opts.Timeout)
 		return &fault.Error{Site: slowSite, Key: key, Transient: true}
 	}
 	return r.fault.MaybeError(site, key)

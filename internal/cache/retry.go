@@ -136,15 +136,18 @@ func (c *Cache) SetFault(inj *fault.Injector) {
 	}
 }
 
-// backoff sleeps before retry attempt (attempt ≥ 1), via the injectable
-// clock so tests run at full speed.
-func (c *Cache) backoff(attempt int) {
-	d := retryBase << (attempt - 1)
-	if d > retryCap {
-		d = retryCap
-	}
-	if c.sleep != nil {
-		c.sleep(d)
+// backoff sleeps before retry attempt (attempt ≥ 1) for
+// retryBase·2^(attempt−1) capped at retryCap — the one retry delay the disk
+// and remote tiers share.
+func backoff(sleep func(time.Duration), attempt int) {
+	sleepVia(sleep, min(retryBase<<(attempt-1), retryCap))
+}
+
+// sleepVia sleeps for d through the injectable clock sleep (nil means
+// time.Sleep), so tests run at full speed.
+func sleepVia(sleep func(time.Duration), d time.Duration) {
+	if sleep != nil {
+		sleep(d)
 		return
 	}
 	time.Sleep(d)
@@ -175,7 +178,7 @@ func (c *Cache) readEntry(ctx context.Context, id, path string, pr *Probe) ([]by
 				return nil, cerr
 			}
 			pr.Retries++
-			c.backoff(attempt)
+			backoff(c.sleep, attempt)
 		}
 		ierr := c.fault.MaybeError(fault.CacheRead, fmt.Sprintf("%s#%d", id, attempt))
 		var raw []byte
@@ -205,7 +208,7 @@ func (c *Cache) writeEntry(ctx context.Context, id string, enc []byte, pr *Probe
 				return cerr
 			}
 			pr.Retries++
-			c.backoff(attempt)
+			backoff(c.sleep, attempt)
 		}
 		ierr := c.tryWrite(id, attempt, enc)
 		if ierr == nil {

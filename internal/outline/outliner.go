@@ -6,7 +6,6 @@ import (
 
 	"outliner/internal/fault"
 	"outliner/internal/isa"
-	"outliner/internal/layout"
 	"outliner/internal/mir"
 	"outliner/internal/obs"
 	"outliner/internal/par"
@@ -86,13 +85,6 @@ type Options struct {
 	// boundary; when only annotating (no ColdOnly), a non-positive value
 	// defaults to 1: any observed entry marks a function hot.
 	ColdThreshold int64
-	// Layout applies a profile-guided function-reordering policy (see
-	// internal/layout) after the final round — the standalone driver's
-	// (cmd/outline) hook for running outlining and layout in one call. The
-	// pipeline leaves this empty and runs the pass itself on the final
-	// linked program, so layout is never applied twice. "" and layout.None
-	// leave the order untouched; active policies need Profile.
-	Layout string
 }
 
 // Options.OnVerifyFailure values.
@@ -101,6 +93,16 @@ const (
 	VerifyRollbackRound    = "rollback-round"
 	VerifyDisableOutlining = "disable-outlining"
 )
+
+// ValidVerifyFailure reports whether mode is a known OnVerifyFailure policy
+// ("" counts as VerifyAbort, the default).
+func ValidVerifyFailure(mode string) bool {
+	switch mode {
+	case "", VerifyAbort, VerifyRollbackRound, VerifyDisableOutlining:
+		return true
+	}
+	return false
+}
 
 func (o Options) withDefaults() Options {
 	if o.MinLength == 0 {
@@ -290,15 +292,6 @@ func Outline(prog *mir.Program, opts Options) (*Stats, error) {
 		if rs.SequencesOutlined == 0 {
 			// Fixed point: later rounds cannot find anything either.
 			break
-		}
-	}
-	if opts.Layout != "" {
-		if _, err := layout.Apply(prog, layout.Options{
-			Policy:  opts.Layout,
-			Profile: opts.Profile,
-			Tracer:  tr,
-		}); err != nil {
-			return stats, err
 		}
 	}
 	return stats, nil

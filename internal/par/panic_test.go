@@ -6,13 +6,14 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"outliner/internal/par"
 )
 
 func TestMapPanicBecomesPanicError(t *testing.T) {
 	for _, p := range []int{1, 4, 0} {
-		_, err := par.MapStage("llc", p, 50, func(i int) (int, error) {
+		_, err := par.MapLanesStageCtx(nil, "llc", p, 50, func(_, i int) (int, error) {
 			if i == 17 {
 				panic("compiler bug")
 			}
@@ -109,6 +110,10 @@ func TestEarlyCancellation(t *testing.T) {
 			return 0, fmt.Errorf("fail at 0")
 		}
 		<-gate
+		// Real work after the gate: the gate closes (deferred) just before
+		// the failure is recorded, so trivial tasks could race through the
+		// whole pool in that window.
+		time.Sleep(time.Millisecond)
 		executed.Add(1)
 		return i, nil
 	})
@@ -147,7 +152,7 @@ func TestSerialSkipsAfterPanic(t *testing.T) {
 func TestMapAllLanesKeepGoing(t *testing.T) {
 	for _, p := range []int{1, 4, 0} {
 		var ran atomic.Int64
-		out, errs := par.MapAllLanesStage("frontend", p, 50, func(_, i int) (int, error) {
+		out, errs := par.MapAllLanesStageCtx(nil, "frontend", p, 50, func(_, i int) (int, error) {
 			ran.Add(1)
 			switch i {
 			case 10:
@@ -187,7 +192,7 @@ func TestMapAllLanesKeepGoing(t *testing.T) {
 }
 
 func TestMapAllLanesNoErrors(t *testing.T) {
-	out, errs := par.MapAllLanesStage("", 4, 20, func(_, i int) (int, error) { return i, nil })
+	out, errs := par.MapAllLanesStageCtx(nil, "", 4, 20, func(_, i int) (int, error) { return i, nil })
 	if errs != nil {
 		t.Fatalf("errs = %v, want nil on full success", errs)
 	}

@@ -217,12 +217,12 @@ func firstErr(errs []error) error {
 // the process: the lowest-index panic is re-raised on the calling goroutine
 // as a *PanicError (remaining higher-index tasks are skipped).
 func Do(p, n int, f func(i int)) {
-	DoLanesStage("", p, n, func(_, i int) { f(i) })
+	doLanes("", p, n, func(_, i int) { f(i) })
 }
 
 // DoStage is Do with the pipeline stage recorded in panic diagnostics.
 func DoStage(stage string, p, n int, f func(i int)) {
-	DoLanesStage(stage, p, n, func(_, i int) { f(i) })
+	doLanes(stage, p, n, func(_, i int) { f(i) })
 }
 
 // DoLanes is Do with the worker's lane (0 ≤ lane < effective worker count)
@@ -231,12 +231,11 @@ func DoStage(stage string, p, n int, f func(i int)) {
 // pool as per-worker tracks in a trace. The lane an item lands on is
 // scheduling-dependent; callers must not let it influence results.
 func DoLanes(p, n int, f func(lane, i int)) {
-	DoLanesStage("", p, n, f)
+	doLanes("", p, n, f)
 }
 
-// DoLanesStage is DoLanes with the pipeline stage recorded in panic
-// diagnostics.
-func DoLanesStage(stage string, p, n int, f func(lane, i int)) {
+// doLanes is DoLanes with the pipeline stage recorded in panic diagnostics.
+func doLanes(stage string, p, n int, f func(lane, i int)) {
 	errs := runLanes(nil, stage, p, n, false, func(lane, i int) error {
 		f(lane, i)
 		return nil
@@ -258,11 +257,6 @@ func DoLanesStage(stage string, p, n int, f func(lane, i int)) {
 // stop-at-first-error loop).
 func Map[T any](p, n int, f func(i int) (T, error)) ([]T, error) {
 	return MapLanesStage("", p, n, func(_, i int) (T, error) { return f(i) })
-}
-
-// MapStage is Map with the pipeline stage recorded in panic diagnostics.
-func MapStage[T any](stage string, p, n int, f func(i int) (T, error)) ([]T, error) {
-	return MapLanesStage(stage, p, n, func(_, i int) (T, error) { return f(i) })
 }
 
 // MapLanes is Map with the worker's lane passed to every call (see DoLanes).
@@ -297,21 +291,17 @@ func MapLanesStageCtx[T any](ctx context.Context, stage string, p, n int, f func
 	return out, nil
 }
 
-// MapAllLanesStage is the keep-going variant of MapLanesStage: every task
-// runs regardless of failures (nothing is cancelled), results land at their
-// index, and the returned error slice holds each task's failure at its index
-// (nil when every task succeeded). Panics are collected as *PanicError like
-// any other failure. Callers aggregate the errors — pipeline keep-going mode
-// reports every broken module at once instead of only the first.
-func MapAllLanesStage[T any](stage string, p, n int, f func(lane, i int) (T, error)) ([]T, []error) {
-	return MapAllLanesStageCtx(nil, stage, p, n, f)
-}
-
-// MapAllLanesStageCtx is MapAllLanesStage under a context. Cancellation
-// overrides keep-going: once ctx is done workers stop claiming tasks, but
-// every error already recorded stays in the slice, joined by exactly one
-// cancellation error — so a keep-going caller still aggregates the failures
-// of everything that ran before the cut. A nil ctx never cancels.
+// MapAllLanesStageCtx is the keep-going variant of MapLanesStageCtx: every
+// task runs regardless of failures (nothing is cancelled), results land at
+// their index, and the returned error slice holds each task's failure at its
+// index (nil when every task succeeded). Panics are collected as *PanicError
+// like any other failure. Callers aggregate the errors — pipeline keep-going
+// mode reports every broken module at once instead of only the first.
+// Cancellation overrides keep-going: once ctx is done workers stop claiming
+// tasks, but every error already recorded stays in the slice, joined by
+// exactly one cancellation error — so a keep-going caller still aggregates
+// the failures of everything that ran before the cut. A nil ctx never
+// cancels.
 func MapAllLanesStageCtx[T any](ctx context.Context, stage string, p, n int, f func(lane, i int) (T, error)) ([]T, []error) {
 	out := make([]T, n)
 	errs := runLanes(ctx, stage, p, n, true, func(lane, i int) error {

@@ -22,7 +22,11 @@ import (
 // misses, so call sites stay unconditional — the same nil-safety contract
 // obs.Tracer follows.
 //
-// What is cached, and under which key:
+// Every cached stage runs through one stage runner, cachedStage, which owns
+// the whole protocol: key timing, probe, decode, miss, single-flight, and
+// publish. A stage contributes only a key function and a stageCodec (encode,
+// and decode plus any counter replay). Adding a cached stage means adding a
+// codec and a key, never another copy of the protocol. The stages today:
 //
 //   - stage "llir" (both pipelines): the lowered LLIR module produced by the
 //     per-module frontend→SIL→LLIR stage. Input: the module's own sources
@@ -196,7 +200,7 @@ func faultFingerprint(cfg Config) string {
 // llirKey scopes module self's dependency fingerprint to its imports'
 // exported interfaces: the input hash covers self's own sources in full plus
 // only the interface digests of the other modules, in module order.
-func (bc *BuildCache) llirKey(self int, keys *ModuleKeys, cfg Config) cache.Key {
+func llirKey(self int, keys *ModuleKeys, cfg Config) cache.Key {
 	h := cache.NewHasher().WriteString(keys.Src[self])
 	for j, d := range keys.Iface {
 		if j != self {
@@ -212,10 +216,10 @@ func (bc *BuildCache) llirKey(self int, keys *ModuleKeys, cfg Config) cache.Key 
 }
 
 // machineKey derives the default pipeline's per-module codegen+outline key
-// from the module's canonical encoding and the cross-module-referenced
-// symbols the merge passes must keep.
-func machineKey(encModule []byte, crossRefs map[string]bool, lm *llir.Module, cfg Config) cache.Key {
-	h := cache.NewHasher().Write(encModule)
+// from the module's (pre-merge) canonical encoding and the
+// cross-module-referenced symbols the merge passes must keep.
+func machineKey(lm *llir.Module, crossRefs map[string]bool, cfg Config) cache.Key {
+	h := cache.NewHasher().Write(artifact.EncodeModule(lm))
 	if len(crossRefs) > 0 {
 		// Only the refs that name this module's functions influence the
 		// stage; sorting keeps the hash independent of map order.
@@ -239,33 +243,6 @@ func machineKey(encModule []byte, crossRefs map[string]bool, lm *llir.Module, cf
 	}
 }
 
-// Cache counters. Every lookup counts a probe and then exactly one of hit
-// (a stored entry decoded into a usable artifact) or miss (absent entry, or
-// a corrupted one — additionally counted under cache/corrupt).
-func cacheProbe(tr *obs.Tracer, stage string) {
-	tr.Add("cache/probes", 1)
-	tr.Add("cache/"+stage+"/probes", 1)
-}
-
-func cacheHit(tr *obs.Tracer, stage string, n int) {
-	tr.Add("cache/hits", 1)
-	tr.Add("cache/"+stage+"/hits", 1)
-	tr.Add("cache/bytes_read", int64(n))
-}
-
-func cacheMiss(tr *obs.Tracer, stage string, corrupt bool) {
-	tr.Add("cache/misses", 1)
-	tr.Add("cache/"+stage+"/misses", 1)
-	if corrupt {
-		tr.Add("cache/corrupt", 1)
-	}
-}
-
-func cacheStore(tr *obs.Tracer, stage string, n int) {
-	tr.Add("cache/stores", 1)
-	tr.Add("cache/bytes_written", int64(n))
-}
-
 // probeCounters mirrors what a disk or remote operation survived — retries, a
 // failed corrupt-entry deletion, a degraded-over I/O or shard error — into the
 // build's counters (-summary's resilience section). Zero-valued fields add
@@ -285,31 +262,168 @@ func probeCounters(tr *obs.Tracer, pr cache.Probe) {
 	}
 }
 
-// tierCounter attributes a hit to the tier that served it ("memory", "disk",
-// "remote-shard-<n>"), the -summary scoreboard's per-tier breakdown.
-func tierCounter(tr *obs.Tracer, tier string) {
-	if tier != "" {
-		tr.Add("cache/tier/"+tier+"/hits", 1)
+// stageCodec is what a cached stage contributes to cachedStage besides its
+// key: how its artifact encodes, and how stored bytes decode back into it.
+// decode also re-emits the telemetry the skipped computation would have
+// produced, so counter-derived reports agree between cold and warm builds.
+type stageCodec[T any] struct {
+	encode func(T) []byte
+	decode func(data []byte, tr *obs.Tracer) (T, error)
+}
+
+// cachedStage runs one cached stage computation for one module (name), the
+// single copy of the cache protocol every stage shares: derive the key (timed
+// under cache/key_hash_ns), probe, decode a hit, and on a miss compute and
+// publish — through the single-flight layer when one is configured, so
+// concurrent service-mode builds compute each key once. The key's Stage
+// names the stage's counters and span. Without a cache it only computes.
+//
+// compute runs at most once per call, so it may mutate its inputs in place
+// (the machine stage's merge passes do). A cancelled leader never computes
+// or publishes, and a result computed under a context cancelled meanwhile is
+// discarded unpublished, so no later build observes a cancelled build's
+// artifact. A damaged entry, an injected decode fault, or shared flight bytes
+// this build cannot decode degrade to a private compute, never to an error.
+//
+// Counters: every lookup counts a probe and then exactly one of hit (a stored
+// entry decoded into a usable artifact, attributed to the tier that served
+// it) or miss (absent entry, or a corrupted one — additionally counted under
+// cache/corrupt). flight/computes counts closures that actually ran the stage
+// (the dedupe test's strict equation: computes == unique stage keys);
+// flight/deduped counts builds that consumed another build's in-flight result.
+func cachedStage[T any](bc *BuildCache, ctx context.Context, tr *obs.Tracer, lane int, name string,
+	key func() cache.Key, codec stageCodec[T], compute func() (T, error)) (T, error) {
+	if !bc.enabled() {
+		return compute()
 	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	keyStart := time.Now()
+	k := key()
+	tr.Add("cache/key_hash_ns", time.Since(keyStart).Nanoseconds())
+	stage := k.Stage
+	sp := tr.StartSpan("cache "+stage+" "+name, lane)
+	tr.Add("cache/probes", 1)
+	tr.Add("cache/"+stage+"/probes", 1)
+	data, ok, pr := bc.c.GetProbeCtx(ctx, k)
+	probeCounters(tr, pr)
+	corrupt := pr.Corrupt
+	if ok {
+		derr := bc.fault.MaybeError(fault.ArtifactDecode, stage+"/"+k.Input)
+		var v T
+		if derr == nil {
+			v, derr = codec.decode(data, tr)
+		}
+		if derr == nil {
+			tr.Add("cache/hits", 1)
+			tr.Add("cache/"+stage+"/hits", 1)
+			tr.Add("cache/bytes_read", int64(len(data)))
+			if pr.Tier != "" {
+				tr.Add("cache/tier/"+pr.Tier+"/hits", 1)
+			}
+			sp.Arg("hit", true).Arg("tier", pr.Tier).End()
+			return v, nil
+		}
+		corrupt = true
+	}
+	tr.Add("cache/misses", 1)
+	tr.Add("cache/"+stage+"/misses", 1)
+	if corrupt {
+		tr.Add("cache/corrupt", 1)
+	}
+	sp.Arg("hit", false).End()
+	publish := func(v T) []byte {
+		enc := codec.encode(v)
+		probeCounters(tr, bc.c.PutProbeCtx(ctx, k, enc))
+		tr.Add("cache/stores", 1)
+		tr.Add("cache/bytes_written", int64(len(enc)))
+		return enc
+	}
+	var zero T
+	if bc.flight == nil {
+		v, err := compute()
+		if err != nil {
+			return zero, err
+		}
+		publish(v)
+		return v, nil
+	}
+	// Service mode. The flight's currency is the encoded artifact: each
+	// waiter decodes a private copy, so no mutable structure is ever shared
+	// across builds.
+	var computed T
+	led := false
+	enc, shared, err := bc.flight.Do(k, func() ([]byte, error) {
+		// Returning the context error makes flight.Do hand waiters
+		// ErrFlightAborted while this build reports its own cancellation.
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr
+		}
+		// Re-probe under the flight: an earlier leader may have published and
+		// left the group between this build's probe and its turn here.
+		if data, ok, _ := bc.c.GetProbeCtx(ctx, k); ok {
+			return data, nil
+		}
+		tr.Add("flight/computes", 1)
+		tr.Add("flight/"+stage+"/computes", 1)
+		v, cerr := compute()
+		if cerr != nil {
+			return nil, cerr
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr
+		}
+		computed, led = v, true
+		return publish(v), nil
+	})
+	if shared {
+		tr.Add("flight/deduped", 1)
+		tr.Add("flight/"+stage+"/deduped", 1)
+	}
+	if err != nil {
+		return zero, err
+	}
+	if led {
+		// This build led the flight: return what it computed (its telemetry
+		// was emitted live), exactly the non-flight cold path.
+		return computed, nil
+	}
+	v, derr := codec.decode(enc, tr)
+	if derr != nil {
+		// compute has not run in this build, so the private fallback is
+		// safe; the leader already published, so nothing is re-published.
+		return compute()
+	}
+	return v, nil
 }
 
-// Single-flight counters. computes counts closures that actually ran the
-// stage (the dedupe test's strict equation: computes == unique stage keys);
-// deduped counts builds that consumed another build's in-flight result.
-func flightCompute(tr *obs.Tracer, stage string) {
-	tr.Add("flight/computes", 1)
-	tr.Add("flight/"+stage+"/computes", 1)
+// llirCodec stores the lowered per-module LLIR module.
+var llirCodec = stageCodec[*llir.Module]{
+	encode: artifact.EncodeModule,
+	decode: func(data []byte, _ *obs.Tracer) (*llir.Module, error) { return artifact.DecodeModule(data) },
 }
 
-func flightDeduped(tr *obs.Tracer, stage string) {
-	tr.Add("flight/deduped", 1)
-	tr.Add("flight/"+stage+"/deduped", 1)
+// machineArtifact is the default pipeline's per-module machine-stage result:
+// the outlined machine program plus its outlining stats (nil when the build
+// runs no outlining rounds).
+type machineArtifact struct {
+	prog  *mir.Program
+	stats *outline.Stats
 }
 
-// decodeFault consults the ArtifactDecode injection point for key; a non-nil
-// result models the decoder rejecting the artifact (degrades to a miss).
-func (bc *BuildCache) decodeFault(key cache.Key) error {
-	return bc.fault.MaybeError(fault.ArtifactDecode, key.Stage+"/"+key.Input)
+// machineCodec stores a machineArtifact; decoding replays the outlining
+// counters the skipped compute would have emitted.
+var machineCodec = stageCodec[machineArtifact]{
+	encode: func(a machineArtifact) []byte { return artifact.EncodeMachine(a.prog, a.stats) },
+	decode: func(data []byte, tr *obs.Tracer) (machineArtifact, error) {
+		p, st, err := artifact.DecodeMachine(data)
+		if err != nil {
+			return machineArtifact{}, err
+		}
+		replayOutlineCounters(tr, st)
+		return machineArtifact{p, st}, nil
+	},
 }
 
 // CompileToLLIRCached is CompileToLLIR behind the build cache: on a hit the
@@ -319,199 +433,10 @@ func (bc *BuildCache) decodeFault(key cache.Key) error {
 // yield structurally identical modules, so the built image is byte-identical
 // either way.
 func (bc *BuildCache) CompileToLLIRCached(src Source, cfg Config, imports *frontend.Imports, self int, keys *ModuleKeys, lane int) (*llir.Module, error) {
-	if !bc.enabled() {
-		return CompileToLLIR(src, cfg, imports)
-	}
-	ctx := cfg.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	tr := cfg.Tracer
-	keyStart := time.Now()
-	key := bc.llirKey(self, keys, cfg)
-	tr.Add("cache/key_hash_ns", time.Since(keyStart).Nanoseconds())
-	sp := tr.StartSpan("cache llir "+src.Name, lane)
-	cacheProbe(tr, "llir")
-	data, ok, pr := bc.c.GetProbeCtx(ctx, key)
-	probeCounters(tr, pr)
-	if ok {
-		derr := bc.decodeFault(key)
-		var m *llir.Module
-		if derr == nil {
-			m, derr = artifact.DecodeModule(data)
-		}
-		if derr == nil {
-			cacheHit(tr, "llir", len(data))
-			tierCounter(tr, pr.Tier)
-			sp.Arg("hit", true).Arg("tier", pr.Tier).End()
-			return m, nil
-		}
-		cacheMiss(tr, "llir", true)
-	} else {
-		cacheMiss(tr, "llir", pr.Corrupt)
-	}
-	sp.Arg("hit", false).End()
-	if bc.flight == nil {
-		m, err := CompileToLLIR(src, cfg, imports)
-		if err != nil {
-			return nil, err
-		}
-		enc := artifact.EncodeModule(m)
-		probeCounters(tr, bc.c.PutProbeCtx(ctx, key, enc))
-		cacheStore(tr, "llir", len(enc))
-		return m, nil
-	}
-	// Service mode: route the miss through the single-flight layer so
-	// concurrent builds compiling the same key do the work once. The flight's
-	// currency is the encoded artifact — each waiter decodes a private copy,
-	// so no mutable structure is ever shared across builds.
-	var computed *llir.Module
-	enc, shared, err := bc.flight.Do(key, func() ([]byte, error) {
-		// A cancelled leader must not compute or publish: returning the
-		// context error here makes flight.Do hand waiters ErrFlightAborted
-		// while this build reports its own cancellation.
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		// Re-probe under the flight: an earlier leader may have published and
-		// left the group between this build's probe and its turn here.
-		if data, ok, _ := bc.c.GetProbeCtx(ctx, key); ok {
-			return data, nil
-		}
-		flightCompute(tr, "llir")
-		m, cerr := CompileToLLIR(src, cfg, imports)
-		if cerr != nil {
-			return nil, cerr
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			// Cancelled mid-compute: discard the result unpublished so a later
-			// clean build can never observe a cancelled build's artifact.
-			return nil, cerr
-		}
-		enc := artifact.EncodeModule(m)
-		probeCounters(tr, bc.c.PutProbeCtx(ctx, key, enc))
-		cacheStore(tr, "llir", len(enc))
-		computed = m
-		return enc, nil
-	})
-	if shared {
-		flightDeduped(tr, "llir")
-	}
-	if err != nil {
-		return nil, err
-	}
-	if computed != nil {
-		// This build led the flight: return the module it compiled directly,
-		// exactly the non-flight cold path.
-		return computed, nil
-	}
-	m, derr := artifact.DecodeModule(enc)
-	if derr != nil {
-		// The shared bytes failed this build's decode — compile privately,
-		// the degraded path of last resort (the leader already published).
-		return CompileToLLIR(src, cfg, imports)
-	}
-	return m, nil
-}
-
-// getMachine probes the per-module machine-stage entry. The bool reports a
-// usable hit and tier names the tier that served it; stats may be nil (a
-// build with OutlineRounds == 0).
-func (bc *BuildCache) getMachine(ctx context.Context, key cache.Key, tr *obs.Tracer) (*mir.Program, *outline.Stats, string, bool) {
-	cacheProbe(tr, "machine")
-	data, ok, pr := bc.c.GetProbeCtx(ctx, key)
-	probeCounters(tr, pr)
-	if !ok {
-		cacheMiss(tr, "machine", pr.Corrupt)
-		return nil, nil, "", false
-	}
-	derr := bc.decodeFault(key)
-	var p *mir.Program
-	var st *outline.Stats
-	if derr == nil {
-		p, st, derr = artifact.DecodeMachine(data)
-	}
-	if derr != nil {
-		cacheMiss(tr, "machine", true)
-		return nil, nil, "", false
-	}
-	cacheHit(tr, "machine", len(data))
-	tierCounter(tr, pr.Tier)
-	return p, st, pr.Tier, true
-}
-
-func (bc *BuildCache) putMachine(ctx context.Context, key cache.Key, p *mir.Program, st *outline.Stats, tr *obs.Tracer) {
-	enc := artifact.EncodeMachine(p, st)
-	probeCounters(tr, bc.c.PutProbeCtx(ctx, key, enc))
-	cacheStore(tr, "machine", len(enc))
-}
-
-// machineMiss runs the per-module machine-stage computation on a cache miss
-// and publishes the artifact — through the single-flight layer when one is
-// configured, so concurrent service-mode builds compute each key once.
-// compute must be single-shot: it mutates its module in place (the merge
-// passes), and machineMiss guarantees at most one invocation per call.
-func (bc *BuildCache) machineMiss(ctx context.Context, key cache.Key, tr *obs.Tracer, compute func() (*mir.Program, *outline.Stats, error)) (*mir.Program, error) {
-	if !bc.enabled() || bc.flight == nil {
-		p, st, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		if bc.enabled() {
-			bc.putMachine(ctx, key, p, st, tr)
-		}
-		return p, nil
-	}
-	var computed *mir.Program
-	enc, shared, err := bc.flight.Do(key, func() ([]byte, error) {
-		// A cancelled leader must not compute or publish: returning the
-		// context error here makes flight.Do hand waiters ErrFlightAborted
-		// while this build reports its own cancellation.
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		// Re-probe under the flight: an earlier leader may have published and
-		// left the group between this build's probe and its turn here.
-		if data, ok, _ := bc.c.GetProbeCtx(ctx, key); ok {
-			return data, nil
-		}
-		flightCompute(tr, "machine")
-		p, st, cerr := compute()
-		if cerr != nil {
-			return nil, cerr
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			// Cancelled mid-compute: discard the result unpublished so a later
-			// clean build can never observe a cancelled build's artifact.
-			return nil, cerr
-		}
-		enc := artifact.EncodeMachine(p, st)
-		probeCounters(tr, bc.c.PutProbeCtx(ctx, key, enc))
-		cacheStore(tr, "machine", len(enc))
-		computed = p
-		return enc, nil
-	})
-	if shared {
-		flightDeduped(tr, "machine")
-	}
-	if err != nil {
-		return nil, err
-	}
-	if computed != nil {
-		// This build led the flight: its compute emitted outlining counters
-		// live, so return its program directly.
-		return computed, nil
-	}
-	p, st, derr := artifact.DecodeMachine(enc)
-	if derr != nil {
-		// The shared bytes failed this build's decode. compute is single-shot
-		// and has not run in this build, so the private fallback is safe; the
-		// leader already published, so nothing is re-published.
-		p, _, cerr := compute()
-		return p, cerr
-	}
-	replayOutlineCounters(tr, st)
-	return p, nil
+	return cachedStage(bc, cfg.Ctx, cfg.Tracer, lane, src.Name,
+		func() cache.Key { return llirKey(self, keys, cfg) },
+		llirCodec,
+		func() (*llir.Module, error) { return CompileToLLIR(src, cfg, imports) })
 }
 
 // replayOutlineCounters re-emits the per-round outlining counters a cache

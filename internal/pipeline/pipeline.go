@@ -17,7 +17,6 @@ import (
 	"sort"
 	"time"
 
-	"outliner/internal/artifact"
 	"outliner/internal/binimg"
 	"outliner/internal/cache"
 	"outliner/internal/codegen"
@@ -326,10 +325,40 @@ func CompileToLLIR(src Source, cfg Config, imports *frontend.Imports) (*llir.Mod
 // panic anywhere in the build surfaces as an error carrying a structured
 // *par.PanicError (stage, task index, stack) in its chain. A cancelled
 // cfg.Ctx surfaces the same way, as an error wrapping the context's error.
-func Build(sources []Source, cfg Config) (res *Result, err error) {
+func Build(sources []Source, cfg Config) (*Result, error) {
+	return runBuild(cfg, func(b *build) (*Result, error) {
+		mods, err := b.lower(sources)
+		if err != nil {
+			return nil, err
+		}
+		return b.finish(mods)
+	})
+}
+
+// BuildFromLLIR finishes a build from per-module LLIR (used by the synthetic
+// app generator, which fabricates IR directly). Like Build, it converts any
+// panic — its own or a worker's — into an error carrying a structured
+// *par.PanicError instead of crashing the process.
+func BuildFromLLIR(mods []*llir.Module, cfg Config) (*Result, error) {
+	return runBuild(cfg, func(b *build) (*Result, error) { return b.finish(mods) })
+}
+
+// build is one running Build or BuildFromLLIR: the resolved config (Tracer
+// ensured, Ctx resolved) and the handles every stage shares.
+type build struct {
+	cfg    Config
+	cancel context.CancelFunc
+	bc     *BuildCache
+}
+
+// runBuild is the prologue Build and BuildFromLLIR share: it ensures a
+// tracer, resolves the build context, opens the build cache, mirrors fault
+// counters on exit, converts any panic into a structured error, and stamps
+// Result.Timings over everything body ran.
+func runBuild(cfg Config, body func(b *build) (*Result, error)) (res *Result, err error) {
 	tr := obs.Ensure(cfg.Tracer)
 	cfg.Tracer = tr
-	ctx, cancel := buildContext(&cfg)
+	cancel := buildContext(&cfg)
 	defer cancel()
 	defer mirrorFaults(tr, cfg.Fault)
 	defer func() {
@@ -339,7 +368,24 @@ func Build(sources []Source, cfg Config) (res *Result, err error) {
 		}
 	}()
 	mark := tr.Mark()
+	bc, err := OpenBuildCache(cfg)
+	if err != nil {
+		return nil, err
+	}
+	res, err = body(&build{cfg: cfg, cancel: cancel, bc: bc})
+	if err != nil {
+		return nil, err
+	}
+	res.Timings = tr.StageTotalsSince(mark)
+	return res, nil
+}
+
+// lower runs the per-module frontend: parse every module, build the import
+// index, and lower each module to LLIR through the build cache.
+func (b *build) lower(sources []Source) ([]*llir.Module, error) {
+	cfg, tr, ctx := b.cfg, b.cfg.Tracer, b.cfg.Ctx
 	front := tr.StartStage("frontend+permodule", 0)
+	defer front.End()
 
 	// Parse every module in parallel, then build the whole-build import index
 	// serially: the index shares AST nodes across modules and synthesizes
@@ -348,44 +394,25 @@ func Build(sources []Source, cfg Config) (res *Result, err error) {
 	// only read. Under KeepGoing every module is still parsed (and every
 	// parse error reported), but a parse failure remains fatal: the import
 	// index needs all modules' declarations.
-	stepCancel(cfg, cancel, "parse")
-	parseModule := func(lane, i int) ([]*frontend.File, error) {
+	b.stepCancel("parse")
+	parsed, err := mapModules(b, "parse", len(sources), func(lane, i int) ([]*frontend.File, error) {
 		cfg.Fault.MaybePanic(fault.WorkerTask, "parse "+sources[i].Name)
 		files, perr := ParseSource(sources[i])
 		if perr != nil {
 			return nil, fmt.Errorf("pipeline: module %s: %w", sources[i].Name, perr)
 		}
 		return files, nil
-	}
-	var parsed [][]*frontend.File
-	if cfg.KeepGoing {
-		var errs []error
-		parsed, errs = par.MapAllLanesStageCtx(ctx, "parse", cfg.Parallelism, len(sources), parseModule)
-		if kerr := gatherKeepGoing(tr, errs); kerr != nil {
-			front.End()
-			return nil, kerr
-		}
-	} else {
-		parsed, err = par.MapLanesStageCtx(ctx, "parse", cfg.Parallelism, len(sources), parseModule)
-		if err != nil {
-			front.End()
-			notePanics(tr, err)
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	ix := frontend.NewImportsIndex(parsed...)
 	imports := make([]*frontend.Imports, len(sources))
 	for i := range sources {
 		imports[i] = ix.For(i)
 	}
-
-	bc, err := OpenBuildCache(cfg)
-	if err != nil {
-		front.End()
-		return nil, err
-	}
 	var keys *ModuleKeys
-	if bc != nil {
+	if b.bc != nil {
 		keys = ComputeModuleKeys(sources, parsed, tr)
 	}
 
@@ -393,69 +420,72 @@ func Build(sources []Source, cfg Config) (res *Result, err error) {
 	// (CompileToLLIR re-parses the module's own files, so every worker
 	// type-checks private ASTs); results are collected in source order, so
 	// irlink.Link sees the same module sequence as the serial build.
-	stepCancel(cfg, cancel, "frontend")
-	lowerModule := func(lane, i int) (*llir.Module, error) {
+	b.stepCancel("frontend")
+	return mapModules(b, "frontend", len(sources), func(lane, i int) (*llir.Module, error) {
 		cfg.Fault.MaybePanic(fault.WorkerTask, sources[i].Name)
 		if err := workerHang(ctx, cfg, sources[i].Name); err != nil {
 			return nil, fmt.Errorf("pipeline: module %s: %w", sources[i].Name, err)
 		}
 		sp := tr.StartSpan("frontend "+sources[i].Name, lane+1)
 		defer sp.End()
-		lm, lerr := bc.CompileToLLIRCached(sources[i], cfg, imports[i], i, keys, lane+1)
+		lm, lerr := b.bc.CompileToLLIRCached(sources[i], cfg, imports[i], i, keys, lane+1)
 		if lerr != nil {
 			return nil, fmt.Errorf("pipeline: module %s: %w", sources[i].Name, lerr)
 		}
 		return lm, nil
-	}
-	var mods []*llir.Module
-	if cfg.KeepGoing {
-		var errs []error
-		mods, errs = par.MapAllLanesStageCtx(ctx, "frontend", cfg.Parallelism, len(sources), lowerModule)
-		front.End()
-		if kerr := gatherKeepGoing(tr, errs); kerr != nil {
-			return nil, kerr
-		}
-	} else {
-		mods, err = par.MapLanesStageCtx(ctx, "frontend", cfg.Parallelism, len(sources), lowerModule)
-		front.End()
-		if err != nil {
-			notePanics(tr, err)
-			return nil, err
-		}
-	}
-	res, err = BuildFromLLIR(mods, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.Timings = tr.StageTotalsSince(mark)
-	return res, nil
+	})
 }
 
-// buildContext resolves cfg.Ctx (nil means Background) and, when fault
-// injection is armed, wraps it in a cancellable child so CancelStep
-// decisions can cancel the build at a stage boundary. cfg.Ctx is rewritten
-// in place so every downstream consumer — cache probes, worker pools,
-// BuildFromLLIR when called from Build — observes the same cancellation.
-func buildContext(cfg *Config) (context.Context, context.CancelFunc) {
-	ctx := cfg.Ctx
-	if ctx == nil {
-		ctx = context.Background()
+// mapModules runs f over n modules as one parallel stage of the build. A
+// fail-fast build stops at the lowest-index failure; a KeepGoing build runs
+// every module and fails with a *BuildErrors aggregating each failure.
+// Recovered worker panics land on the build's counters either way.
+func mapModules[T any](b *build, stage string, n int, f func(lane, i int) (T, error)) ([]T, error) {
+	if !b.cfg.KeepGoing {
+		out, err := par.MapLanesStageCtx(b.cfg.Ctx, stage, b.cfg.Parallelism, n, f)
+		if err != nil {
+			notePanics(b.cfg.Tracer, err)
+			return nil, err
+		}
+		return out, nil
+	}
+	out, errs := par.MapAllLanesStageCtx(b.cfg.Ctx, stage, b.cfg.Parallelism, n, f)
+	var be BuildErrors
+	for _, e := range errs {
+		if e != nil {
+			be.Errs = append(be.Errs, e)
+		}
+	}
+	if len(be.Errs) > 0 {
+		notePanics(b.cfg.Tracer, be.Errs...)
+		b.cfg.Tracer.Add("build/keep_going_errors", int64(len(be.Errs)))
+		return nil, &be
+	}
+	return out, nil
+}
+
+// buildContext resolves cfg.Ctx in place (nil means Background) so every
+// downstream consumer — cache probes, worker pools — observes the same
+// cancellation. When fault injection is armed it installs a cancellable
+// child, so CancelStep decisions can cancel the build at a stage boundary.
+func buildContext(cfg *Config) context.CancelFunc {
+	if cfg.Ctx == nil {
+		cfg.Ctx = context.Background()
 	}
 	if cfg.Fault == nil {
-		cfg.Ctx = ctx
-		return ctx, func() {}
+		return func() {}
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	cfg.Ctx = ctx
-	return ctx, cancel
+	var cancel context.CancelFunc
+	cfg.Ctx, cancel = context.WithCancel(cfg.Ctx)
+	return cancel
 }
 
 // stepCancel consults the CancelStep fault site at a stage boundary,
 // cancelling the build's context when the schedule says so — the
 // cancel-at-step-N chaos drill.
-func stepCancel(cfg Config, cancel context.CancelFunc, step string) {
-	if cfg.Fault.MaybeCancelPoint(fault.CancelStep, "step:"+step) {
-		cancel()
+func (b *build) stepCancel(step string) {
+	if b.cfg.Fault.MaybeCancelPoint(fault.CancelStep, "step:"+step) {
+		b.cancel()
 	}
 }
 
@@ -481,24 +511,6 @@ func ctxErr(ctx context.Context, where string) error {
 	return nil
 }
 
-// gatherKeepGoing folds a keep-going stage's error slice (one slot per task)
-// into a single *BuildErrors, nil when every task succeeded. Recovered worker
-// panics and the failure count land on the build's counters.
-func gatherKeepGoing(tr *obs.Tracer, errs []error) error {
-	var be BuildErrors
-	for _, e := range errs {
-		if e != nil {
-			be.Errs = append(be.Errs, e)
-		}
-	}
-	if len(be.Errs) == 0 {
-		return nil
-	}
-	notePanics(tr, be.Errs...)
-	tr.Add("build/keep_going_errors", int64(len(be.Errs)))
-	return &be
-}
-
 // notePanics counts the errors whose chain carries a recovered worker panic,
 // keeping panic isolation visible in -summary even when the build fails.
 func notePanics(tr *obs.Tracer, errs ...error) {
@@ -518,27 +530,33 @@ func mirrorFaults(tr *obs.Tracer, inj *fault.Injector) {
 	}
 }
 
-// BuildFromLLIR finishes a build from per-module LLIR (used by the synthetic
-// app generator, which fabricates IR directly). Like Build, it converts any
-// panic — its own or a worker's — into an error carrying a structured
-// *par.PanicError instead of crashing the process.
-func BuildFromLLIR(mods []*llir.Module, cfg Config) (res *Result, err error) {
-	tr := obs.Ensure(cfg.Tracer)
-	cfg.Tracer = tr
-	ctx, cancel := buildContext(&cfg)
-	defer cancel()
-	defer mirrorFaults(tr, cfg.Fault)
-	defer func() {
-		if r := recover(); r != nil {
-			tr.Add("fault/recovered_panics", 1)
-			res, err = nil, fmt.Errorf("pipeline: %w", par.Recovered("build", -1, r))
-		}
-	}()
-	mark := tr.Mark()
+// outlineOptions maps the build's outlining knobs onto a whole-program
+// outliner run; the default pipeline's per-module runs override the
+// module-scoped fields.
+func (cfg Config) outlineOptions() outline.Options {
+	return outline.Options{
+		Rounds:          cfg.OutlineRounds,
+		FlatCostModel:   cfg.FlatOutlineCost,
+		Verify:          cfg.Verify,
+		ExternSyms:      llir.RuntimeSyms,
+		Parallelism:     cfg.Parallelism,
+		Tracer:          cfg.Tracer,
+		OnVerifyFailure: cfg.OnVerifyFailure,
+		Fault:           cfg.Fault,
+		Profile:         cfg.Profile,
+		ColdOnly:        cfg.OutlineColdOnly,
+		ColdThreshold:   cfg.OutlineColdThreshold,
+	}
+}
+
+// finish runs the back half of the build from per-module LLIR: link and
+// codegen (whole-program or per-module), outlining, layout, and the image.
+func (b *build) finish(mods []*llir.Module) (*Result, error) {
+	cfg, tr, ctx := b.cfg, b.cfg.Tracer, b.cfg.Ctx
 	var prog *mir.Program
 
 	if cfg.WholeProgram {
-		stepCancel(cfg, cancel, "link")
+		b.stepCancel("link")
 		if err := ctxErr(ctx, "before llvm-link"); err != nil {
 			return nil, err
 		}
@@ -572,7 +590,7 @@ func BuildFromLLIR(mods []*llir.Module, cfg Config) (res *Result, err error) {
 		}
 		sp.End()
 
-		stepCancel(cfg, cancel, "llc")
+		b.stepCancel("llc")
 		if err := ctxErr(ctx, "before codegen"); err != nil {
 			return nil, err
 		}
@@ -598,13 +616,8 @@ func BuildFromLLIR(mods []*llir.Module, cfg Config) (res *Result, err error) {
 		// concatenate the parts in module order. Each worker's spans land
 		// on its own trace lane; the per-module "machine-outline" stage
 		// spans emitted inside workers sum into one total.
-		stepCancel(cfg, cancel, "llc")
+		b.stepCancel("llc")
 		sp := tr.StartStage("llc", 0)
-		bc, err := OpenBuildCache(cfg)
-		if err != nil {
-			sp.End()
-			return nil, err
-		}
 		extern := externSyms(mods) // shared, read-only across workers
 		var crossRefs map[string]bool
 		if cfg.MergeFunctions || cfg.FMSA {
@@ -614,7 +627,7 @@ func BuildFromLLIR(mods []*llir.Module, cfg Config) (res *Result, err error) {
 			// their definitions.
 			crossRefs = crossModuleRefs(mods)
 		}
-		compileModule := func(lane, i int) (*mir.Program, error) {
+		parts, err := mapModules(b, "llc", len(mods), func(lane, i int) (*mir.Program, error) {
 			lm := mods[i]
 			cfg.Fault.MaybePanic(fault.WorkerTask, lm.Name)
 			if err := workerHang(ctx, cfg, lm.Name); err != nil {
@@ -622,117 +635,70 @@ func BuildFromLLIR(mods []*llir.Module, cfg Config) (res *Result, err error) {
 			}
 			wsp := tr.StartSpan("module "+lm.Name, lane+1)
 			defer wsp.End()
-			// Probe the cache before touching lm: the key is derived from
-			// the module's pre-merge canonical encoding, and a hit skips
+			// The key is derived from the module's pre-merge canonical
+			// encoding, so it is taken before compute touches lm. A hit skips
 			// merging, codegen, outlining, and the per-module verify (the
-			// final whole-program verify still runs). The replayed counters
-			// keep counter-derived reports equal between cold and warm runs.
-			var mkey cache.Key
-			if bc.enabled() {
-				csp := tr.StartSpan("cache machine "+lm.Name, lane+1)
-				mkey = machineKey(artifact.EncodeModule(lm), crossRefs, lm, cfg)
-				p, st, tier, ok := bc.getMachine(ctx, mkey, tr)
-				csp.Arg("hit", ok).Arg("tier", tier).End()
-				if ok {
-					replayOutlineCounters(tr, st)
-					return p, nil
-				}
-			}
-			// The miss path: merge, codegen, outline, verify. machineMiss
-			// runs it directly, or — in service mode — behind the
-			// single-flight layer so concurrent builds compute each key once.
-			// It is invoked at most once per module (it mutates lm in place).
-			compute := func() (*mir.Program, *outline.Stats, error) {
-				if cfg.MergeFunctions {
-					llir.MergeFunctionsKeeping(lm, crossRefs)
-				}
-				if cfg.FMSA {
-					llir.MergeBySequenceAlignmentKeeping(lm, crossRefs)
-				}
-				p, cerr := codegen.CompileTraced(lm, 1, tr, lane+1, cfg.Fault)
-				if cerr != nil {
-					return nil, nil, fmt.Errorf("pipeline: module %s: %w", lm.Name, cerr)
-				}
-				var st *outline.Stats
-				if cfg.OutlineRounds > 0 {
-					st, cerr = outline.Outline(p, outline.Options{
-						Rounds:          cfg.OutlineRounds,
-						FlatCostModel:   cfg.FlatOutlineCost,
-						FuncPrefix:      "OUTLINED_FUNCTION_" + lm.Name + "_",
-						Verify:          cfg.Verify,
-						ExternSyms:      extern,
-						Parallelism:     1,
-						Tracer:          tr,
-						TraceLane:       lane + 1,
-						RemarkModule:    lm.Name,
-						OnVerifyFailure: cfg.OnVerifyFailure,
-						Fault:           cfg.Fault,
-						Profile:         cfg.Profile,
-						ColdOnly:        cfg.OutlineColdOnly,
-						ColdThreshold:   cfg.OutlineColdThreshold,
-					})
+			// final whole-program verify still runs).
+			a, err := cachedStage(b.bc, ctx, tr, lane+1, lm.Name,
+				func() cache.Key { return machineKey(lm, crossRefs, cfg) },
+				machineCodec,
+				func() (machineArtifact, error) {
+					if cfg.MergeFunctions {
+						llir.MergeFunctionsKeeping(lm, crossRefs)
+					}
+					if cfg.FMSA {
+						llir.MergeBySequenceAlignmentKeeping(lm, crossRefs)
+					}
+					p, cerr := codegen.CompileTraced(lm, 1, tr, lane+1, cfg.Fault)
 					if cerr != nil {
-						return nil, nil, fmt.Errorf("pipeline: module %s: %w", lm.Name, cerr)
+						return machineArtifact{}, fmt.Errorf("pipeline: module %s: %w", lm.Name, cerr)
 					}
-				}
-				if cfg.Verify {
-					// Cross-module references are external at this point,
-					// exactly as the system linker would see them.
-					if err := runVerify(p, extern, tr, "module "+lm.Name+" after codegen"); err != nil {
-						return nil, nil, err
+					var st *outline.Stats
+					if cfg.OutlineRounds > 0 {
+						opts := cfg.outlineOptions()
+						opts.FuncPrefix = "OUTLINED_FUNCTION_" + lm.Name + "_"
+						opts.ExternSyms = extern
+						opts.Parallelism = 1
+						opts.TraceLane = lane + 1
+						opts.RemarkModule = lm.Name
+						if st, cerr = outline.Outline(p, opts); cerr != nil {
+							return machineArtifact{}, fmt.Errorf("pipeline: module %s: %w", lm.Name, cerr)
+						}
 					}
-				}
-				return p, st, nil
-			}
-			return bc.machineMiss(ctx, mkey, tr, compute)
-		}
-		var parts []*mir.Program
-		if cfg.KeepGoing {
-			var errs []error
-			parts, errs = par.MapAllLanesStageCtx(ctx, "llc", cfg.Parallelism, len(mods), compileModule)
-			sp.End()
-			if kerr := gatherKeepGoing(tr, errs); kerr != nil {
-				return nil, kerr
-			}
-		} else {
-			parts, err = par.MapLanesStageCtx(ctx, "llc", cfg.Parallelism, len(mods), compileModule)
-			sp.End()
-			if err != nil {
-				notePanics(tr, err)
-				return nil, err
-			}
+					if cfg.Verify {
+						// Cross-module references are external at this point,
+						// exactly as the system linker would see them.
+						if err := runVerify(p, extern, tr, "module "+lm.Name+" after codegen"); err != nil {
+							return machineArtifact{}, err
+						}
+					}
+					return machineArtifact{p, st}, nil
+				})
+			return a.prog, err
+		})
+		sp.End()
+		if err != nil {
+			return nil, err
 		}
 		sp = tr.StartStage("ld", 0)
 		prog = linkMachine(parts)
 		sp.End()
 	}
 
-	res = &Result{Prog: prog}
+	res := &Result{Prog: prog}
 
 	if cfg.WholeProgram && cfg.CanonicalizeSequences {
 		outline.CanonicalizeCommutative(prog)
 	}
 	if cfg.WholeProgram && cfg.OutlineRounds > 0 {
-		stepCancel(cfg, cancel, "outline")
+		b.stepCancel("outline")
 		if err := ctxErr(ctx, "before outlining"); err != nil {
 			return nil, err
 		}
 		// No enclosing stage span here: the outliner emits one
 		// "machine-outline" stage span per round itself, and stage totals
 		// sum them into the Timings entry.
-		st, oerr := outline.Outline(prog, outline.Options{
-			Rounds:          cfg.OutlineRounds,
-			FlatCostModel:   cfg.FlatOutlineCost,
-			Verify:          cfg.Verify,
-			ExternSyms:      llir.RuntimeSyms,
-			Parallelism:     cfg.Parallelism,
-			Tracer:          tr,
-			OnVerifyFailure: cfg.OnVerifyFailure,
-			Fault:           cfg.Fault,
-			Profile:         cfg.Profile,
-			ColdOnly:        cfg.OutlineColdOnly,
-			ColdThreshold:   cfg.OutlineColdThreshold,
-		})
+		st, oerr := outline.Outline(prog, cfg.outlineOptions())
 		if oerr != nil {
 			return nil, oerr
 		}
@@ -789,7 +755,6 @@ func BuildFromLLIR(mods []*llir.Module, cfg Config) (res *Result, err error) {
 		tr.Set("layout/touched_pages_before", int64(before.TouchedPages))
 		tr.Set("layout/touched_pages_after", int64(after.TouchedPages))
 	}
-	res.Timings = tr.StageTotalsSince(mark)
 	return res, nil
 }
 

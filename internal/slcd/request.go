@@ -110,9 +110,7 @@ func (c BuildConfig) pipelineConfig() (pipeline.Config, error) {
 	if onvf == "" {
 		onvf = outline.VerifyAbort
 	}
-	switch onvf {
-	case outline.VerifyAbort, outline.VerifyRollbackRound, outline.VerifyDisableOutlining:
-	default:
+	if !outline.ValidVerifyFailure(onvf) {
 		return pipeline.Config{}, fmt.Errorf("slcd: unknown on_verify_failure mode %q", onvf)
 	}
 	cfg := pipeline.Config{
