@@ -80,11 +80,7 @@ func compileFunc(f *llir.Func) (*mir.Function, error) {
 	if err != nil {
 		return nil, err
 	}
-	alloc, err := allocateRegisters(work, vblocks)
-	if err != nil {
-		return nil, err
-	}
-	return emit(work, vblocks, alloc), nil
+	return emit(work, vblocks, allocateRegisters(vblocks)), nil
 }
 
 func cloneFunc(f *llir.Func) *llir.Func {

@@ -96,11 +96,11 @@ func emit(f *llir.Func, blocks []*vblock, alloc *allocation) *mir.Function {
 				if v.isPhys() {
 					return v.physReg()
 				}
-				if r, ok := alloc.regOf[v]; ok {
+				if r := alloc.regOf[v]; r != isa.NoReg {
 					return r
 				}
-				slot, ok := alloc.spillSlot[v]
-				if !ok {
+				slot := alloc.spillSlot[v]
+				if slot < 0 {
 					// A def-only value with no interval use: scratch.
 					return takeScratch()
 				}
@@ -114,8 +114,9 @@ func emit(f *llir.Func, blocks []*vblock, alloc *allocation) *mir.Function {
 			}
 
 			in := isa.Inst{Op: vi.op, Imm: vi.imm, Sym: vi.sym, Cond: vi.cond}
-			uses := vinstUses(vi)
-			defs := vinstDefs(vi)
+			var ubuf, dbuf [3]vreg
+			uses := vinstUses(ubuf[:0], vi)
+			defs := vinstDefs(dbuf[:0], vi)
 			isUseField := func(v vreg, list []vreg) bool {
 				for _, u := range list {
 					if u == v {
@@ -152,7 +153,7 @@ func emit(f *llir.Func, blocks []*vblock, alloc *allocation) *mir.Function {
 				if d == vnone || d.isPhys() {
 					continue
 				}
-				if slot, ok := alloc.spillSlot[d]; ok {
+				if slot := alloc.spillSlot[d]; slot >= 0 {
 					blk.Insts = append(blk.Insts, isa.Inst{
 						Op: isa.STRui, Rd: in.Rd, Rn: isa.SP, Imm: slotOff(slot),
 					})

@@ -60,30 +60,64 @@ func (b *vblock) succs(labels map[string]bool) []string {
 
 type selector struct {
 	f       *llir.Func
-	useCnt  map[llir.Value]int
-	defOf   map[llir.Value]*llir.Inst
-	skipped map[llir.Value]bool // Const defs fully folded; Cmp defs fused
+	useCnt  []int        // by value
+	defOf   []*llir.Inst // by value: the last def
+	skipped []bool       // by value: Const defs fully folded; Cmp defs fused
+	// soleConst marks the values whose only def is a Const. Only those may
+	// fold into immediates: after SSA destruction a value can have several
+	// defs, and Consts of different immediates cannot share one fold.
+	soleConst []bool
+	// users lists, by value, the users of every soleConst value, one entry
+	// per use occurrence.
+	users [][]*llir.Inst
+	ubuf  []llir.Value // scratch for appendUses
 }
 
 // selectInstructions lowers the (post-SSA) LLIR function to vinsts.
 func selectInstructions(f *llir.Func) ([]*vblock, error) {
-	s := &selector{
-		f:       f,
-		useCnt:  make(map[llir.Value]int),
-		defOf:   make(map[llir.Value]*llir.Inst),
-		skipped: make(map[llir.Value]bool),
+	s := &selector{f: f}
+	// Values are dense numbers: size the per-value tables by the largest
+	// one any instruction mentions.
+	maxV := llir.Value(f.NumParams)
+	for _, b := range f.Blocks {
+		for i := range b.Insts {
+			in := &b.Insts[i]
+			maxV = max(maxV, in.Dst, in.ErrDst)
+			for _, u := range s.appendUses(in) {
+				maxV = max(maxV, u)
+			}
+		}
 	}
+	s.useCnt = make([]int, maxV+1)
+	s.defOf = make([]*llir.Inst, maxV+1)
+	s.skipped = make([]bool, maxV+1)
+	s.users = make([][]*llir.Inst, maxV+1)
+	s.soleConst = make([]bool, maxV+1)
+	defCnt := make([]int, maxV+1)
 	for _, b := range f.Blocks {
 		for i := range b.Insts {
 			in := &b.Insts[i]
 			if in.Dst != llir.None {
 				s.defOf[in.Dst] = in
+				defCnt[in.Dst]++
 			}
 			if in.Op == llir.Call && in.ErrDst != llir.None {
 				s.defOf[in.ErrDst] = in
+				defCnt[in.ErrDst]++
 			}
-			for _, u := range uses(in) {
+		}
+	}
+	for v, d := range s.defOf {
+		s.soleConst[v] = defCnt[v] == 1 && d.Op == llir.Const
+	}
+	for _, b := range f.Blocks {
+		for i := range b.Insts {
+			in := &b.Insts[i]
+			for _, u := range s.appendUses(in) {
 				s.useCnt[u]++
+				if s.soleConst[u] {
+					s.users[u] = append(s.users[u], in)
+				}
 			}
 		}
 	}
@@ -114,8 +148,10 @@ func selectInstructions(f *llir.Func) ([]*vblock, error) {
 	return out, nil
 }
 
-func uses(in *llir.Inst) []llir.Value {
-	var out []llir.Value
+// appendUses returns the values in reads, one entry per operand occurrence,
+// in the selector's scratch buffer: the slice is valid until the next call.
+func (s *selector) appendUses(in *llir.Inst) []llir.Value {
+	out := s.ubuf[:0]
 	add := func(v llir.Value) {
 		if v != llir.None {
 			out = append(out, v)
@@ -143,6 +179,7 @@ func uses(in *llir.Inst) []llir.Value {
 	for _, inc := range in.Incomings {
 		add(inc.Val)
 	}
+	s.ubuf = out
 	return out
 }
 
@@ -155,7 +192,7 @@ func (s *selector) planFolding() {
 			in := &b.Insts[i]
 			switch in.Op {
 			case llir.Const:
-				if s.useCnt[in.Dst] > 0 && s.allUsesFoldable(in.Dst, in.Imm) {
+				if s.soleConst[in.Dst] && s.allUsesFoldable(in.Dst, in.Imm) {
 					s.skipped[in.Dst] = true
 				}
 			case llir.Cmp:
@@ -173,7 +210,7 @@ func (s *selector) singleUserInBlock(b *llir.Block, v llir.Value) *llir.Inst {
 	var found *llir.Inst
 	for i := range b.Insts {
 		in := &b.Insts[i]
-		for _, u := range uses(in) {
+		for _, u := range s.appendUses(in) {
 			if u == v {
 				if found != nil {
 					return nil
@@ -188,22 +225,12 @@ func (s *selector) singleUserInBlock(b *llir.Block, v llir.Value) *llir.Inst {
 // allUsesFoldable reports whether every use of a Const can take the
 // immediate form.
 func (s *selector) allUsesFoldable(v llir.Value, imm int64) bool {
-	folds := 0
-	for _, b := range s.f.Blocks {
-		for i := range b.Insts {
-			in := &b.Insts[i]
-			for _, u := range uses(in) {
-				if u != v {
-					continue
-				}
-				if !useFoldable(in, v, imm) {
-					return false
-				}
-				folds++
-			}
+	for _, user := range s.users[v] {
+		if !useFoldable(user, v, imm) {
+			return false
 		}
 	}
-	return folds > 0
+	return len(s.users[v]) > 0
 }
 
 func useFoldable(user *llir.Inst, v llir.Value, imm int64) bool {

@@ -228,10 +228,15 @@ func (in Inst) String() string {
 	case MOVZ:
 		emitReg(in.Rd)
 		emitImm(in.Imm)
-	case ORRrs, ANDrs, EORrs, ADDrs, SUBrs, MUL, SDIV, MSUB:
+	case ORRrs, ANDrs, EORrs, ADDrs, SUBrs, MUL, SDIV:
 		emitReg(in.Rd)
 		emitReg(in.Rn)
 		emitReg(in.Rm)
+	case MSUB:
+		emitReg(in.Rd)
+		emitReg(in.Rn)
+		emitReg(in.Rm)
+		emitReg(in.Rd2) // the accumulator Ra
 	case ADDri, SUBri, LSLri, LSRri, ASRri:
 		emitReg(in.Rd)
 		emitReg(in.Rn)

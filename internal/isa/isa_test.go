@@ -86,6 +86,7 @@ func TestInstString(t *testing.T) {
 		{Inst{Op: LDRui, Rd: X9, Rn: SP, Imm: 16}, "LDRXui $x9, $sp, #16"},
 		{Inst{Op: CSET, Rd: X0, Cond: EQ}, "CSETXr $x0, eq"},
 		{Inst{Op: ADR, Rd: X2, Sym: "gMap"}, "ADRP $x2, @gMap"},
+		{Inst{Op: MSUB, Rd: X0, Rn: X1, Rm: X2, Rd2: X3}, "MSUBXrr $x0, $x1, $x2, $x3"},
 	}
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {
@@ -234,5 +235,32 @@ func TestUsesLR(t *testing.T) {
 	}
 	if !(Inst{Op: ORRrs, Rd: LR, Rn: XZR, Rm: X0}).UsesLR() {
 		t.Error("move into LR must count as explicit LR use")
+	}
+}
+
+// UsesLR runs on every instruction the outliner maps; its operand lists
+// live on the stack.
+func TestUsesLRAllocatesNothing(t *testing.T) {
+	insts := []Inst{
+		{Op: ORRrs, Rd: X0, Rn: XZR, Rm: LR},
+		{Op: STPpre, Rd: FP, Rd2: LR, Rn: SP, Imm: -16},
+		{Op: LDPpost, Rd: FP, Rd2: LR, Rn: SP, Imm: 16},
+		{Op: MSUB, Rd: X0, Rn: X1, Rm: X2, Rd2: X3},
+		{Op: BL, Sym: "f"},
+		{Op: RET},
+	}
+	n := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, in := range insts {
+			if in.UsesLR() {
+				n++
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("UsesLR allocates %.1f times per run, want 0", allocs)
+	}
+	if n == 0 {
+		t.Error("no instruction reported an LR use")
 	}
 }

@@ -128,12 +128,13 @@ func (in Inst) ReadsSP() bool {
 // UsesLR reports whether in explicitly reads or writes the link register
 // outside of the implicit call/return semantics.
 func (in Inst) UsesLR() bool {
-	for _, r := range in.Uses(nil) {
+	var buf [4]Reg
+	for _, r := range in.Uses(buf[:0]) {
 		if r == LR {
 			return in.Op != RET // RET's implicit LR read is handled by strategy
 		}
 	}
-	for _, r := range in.Defs(nil) {
+	for _, r := range in.Defs(buf[:0]) {
 		if r == LR && !in.IsCall() {
 			return true
 		}

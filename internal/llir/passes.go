@@ -1,9 +1,8 @@
 package llir
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // RunDefaultPasses applies the standard mid-level size pipeline in the order
@@ -251,11 +250,13 @@ func MergeFunctions(m *Module) MergeStats {
 // an undefined symbol.
 func MergeFunctionsKeeping(m *Module, keep map[string]bool) MergeStats {
 	byHash := make(map[string][]*Func)
+	var keyer funcKeyer
 	for _, f := range m.Funcs {
 		if f.Name == "main" {
 			continue
 		}
-		byHash[hashFunc(f)] = append(byHash[hashFunc(f)], f)
+		h := string(keyer.key(f))
+		byHash[h] = append(byHash[h], f)
 	}
 	replace := make(map[string]string)
 	var stats MergeStats
@@ -317,58 +318,106 @@ func MergeFunctionsKeeping(m *Module, keep map[string]bool) MergeStats {
 	return stats
 }
 
-// hashFunc produces a normalized structural key: value numbers and labels
-// renamed in traversal order, so two functions differing only in naming or
-// value numbering hash equal.
-func hashFunc(f *Func) string {
-	var sb strings.Builder
-	valNames := make(map[Value]int)
-	valName := func(v Value) int {
-		if v == None {
-			return 0
-		}
-		id, ok := valNames[v]
-		if !ok {
-			id = len(valNames) + 1
-			valNames[v] = id
-		}
-		return id
+// funcKeyer builds MergeFunctions' normalized structural key: value numbers
+// and labels renamed in traversal order, so two functions differing only in
+// naming or value numbering get equal keys. Its buffers are reused from one
+// function to the next.
+type funcKeyer struct {
+	eraseConsts bool // key every Const as immediate 0 (FMSA's shape key)
+
+	buf  []byte
+	vals []int // normalized id by value number; 0 = not yet seen
+	next int   // ids handed out so far
+	labs map[string]int
+}
+
+// key returns f's key. The bytes are valid until the next call.
+func (k *funcKeyer) key(f *Func) []byte {
+	k.vals = k.vals[:0]
+	k.next = 0
+	if k.labs == nil {
+		k.labs = make(map[string]int)
 	}
-	labNames := make(map[string]int)
-	labName := func(l string) int {
-		id, ok := labNames[l]
-		if !ok {
-			id = len(labNames) + 1
-			labNames[l] = id
-		}
-		return id
-	}
-	fmt.Fprintf(&sb, "p%d t%v;", f.NumParams, f.Throws)
+	clear(k.labs)
+	b := append(k.buf[:0], 'p')
+	b = strconv.AppendInt(b, int64(f.NumParams), 10)
+	b = append(b, " t"...)
+	b = strconv.AppendBool(b, f.Throws)
+	b = append(b, ';')
 	for i := 0; i < f.NumParams; i++ {
-		valName(f.Param(i))
+		k.val(f.Param(i))
 	}
-	for _, b := range f.Blocks {
-		fmt.Fprintf(&sb, "L%d:", labName(b.Label))
-		for i := range b.Insts {
-			in := &b.Insts[i]
-			fmt.Fprintf(&sb, "%d(%d,%d,%d,%d,%d,%d,%d", in.Op, valName(in.Dst),
-				valName(in.A), valName(in.B), valName(in.ErrDst), in.Imm, in.BinOp, in.Cond)
+	for _, blk := range f.Blocks {
+		b = append(b, 'L')
+		b = strconv.AppendInt(b, int64(k.lab(blk.Label)), 10)
+		b = append(b, ':')
+		for i := range blk.Insts {
+			in := &blk.Insts[i]
+			imm := in.Imm
+			if k.eraseConsts && in.Op == Const {
+				imm = 0
+			}
+			b = strconv.AppendInt(b, int64(in.Op), 10)
+			b = append(b, '(')
+			for j, x := range [...]int64{int64(k.val(in.Dst)), int64(k.val(in.A)),
+				int64(k.val(in.B)), int64(k.val(in.ErrDst)), imm, int64(in.BinOp), int64(in.Cond)} {
+				if j > 0 {
+					b = append(b, ',')
+				}
+				b = strconv.AppendInt(b, x, 10)
+			}
 			switch in.Op {
 			case Call, GlobalAddr:
-				fmt.Fprintf(&sb, ",@%s", in.Sym)
+				b = append(b, ",@"...)
+				b = append(b, in.Sym...)
 			case Br:
-				fmt.Fprintf(&sb, ",L%d", labName(in.Sym))
+				b = append(b, ",L"...)
+				b = strconv.AppendInt(b, int64(k.lab(in.Sym)), 10)
 			case CondBr:
-				fmt.Fprintf(&sb, ",L%d,L%d", labName(in.Sym), labName(in.Sym2))
+				b = append(b, ",L"...)
+				b = strconv.AppendInt(b, int64(k.lab(in.Sym)), 10)
+				b = append(b, ",L"...)
+				b = strconv.AppendInt(b, int64(k.lab(in.Sym2)), 10)
 			}
 			for _, a := range in.Args {
-				fmt.Fprintf(&sb, ",a%d", valName(a))
+				b = append(b, ",a"...)
+				b = strconv.AppendInt(b, int64(k.val(a)), 10)
 			}
 			for _, inc := range in.Incomings {
-				fmt.Fprintf(&sb, ",[L%d:%d]", labName(inc.Pred), valName(inc.Val))
+				b = append(b, ",[L"...)
+				b = strconv.AppendInt(b, int64(k.lab(inc.Pred)), 10)
+				b = append(b, ':')
+				b = strconv.AppendInt(b, int64(k.val(inc.Val)), 10)
+				b = append(b, ']')
 			}
-			sb.WriteString(");")
+			b = append(b, ");"...)
 		}
 	}
-	return sb.String()
+	k.buf = b
+	return b
+}
+
+// val returns v's normalized id, numbering values in first-seen order.
+func (k *funcKeyer) val(v Value) int {
+	if v <= None {
+		return 0
+	}
+	if int(v) >= len(k.vals) {
+		k.vals = append(k.vals, make([]int, int(v)+1-len(k.vals))...)
+	}
+	if k.vals[v] == 0 {
+		k.next++
+		k.vals[v] = k.next
+	}
+	return k.vals[v]
+}
+
+// lab returns l's normalized id, numbering labels in first-seen order.
+func (k *funcKeyer) lab(l string) int {
+	id, ok := k.labs[l]
+	if !ok {
+		id = len(k.labs) + 1
+		k.labs[l] = id
+	}
+	return id
 }

@@ -199,13 +199,14 @@ func step(in isa.Inst, live RegSet) RegSet {
 		live = live.RemoveFlags()
 		live = live.Union(callUses)
 	}
-	for _, d := range in.Defs(nil) {
+	var buf [4]isa.Reg
+	for _, d := range in.Defs(buf[:0]) {
 		live = live.Remove(d)
 	}
 	if in.SetsFlags() {
 		live = live.RemoveFlags()
 	}
-	for _, u := range in.Uses(nil) {
+	for _, u := range in.Uses(buf[:0]) {
 		live = live.Add(u)
 	}
 	if in.ReadsFlags() {

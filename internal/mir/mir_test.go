@@ -356,7 +356,7 @@ func TestFunctionStringContainsListingStylePattern(t *testing.T) {
 func TestParsePrintRoundTripProperty(t *testing.T) {
 	ops := []isa.Op{
 		isa.MOVZ, isa.ORRrs, isa.ANDrs, isa.EORrs, isa.ADDrs, isa.ADDri,
-		isa.SUBrs, isa.SUBri, isa.MUL, isa.SDIV, isa.LSLri, isa.LSRri,
+		isa.SUBrs, isa.SUBri, isa.MUL, isa.SDIV, isa.MSUB, isa.LSLri, isa.LSRri,
 		isa.ASRri, isa.CMPrs, isa.CMPri, isa.CSET, isa.LDRui, isa.STRui,
 		isa.LDPui, isa.STPui, isa.STRpre, isa.LDRpost, isa.NOP,
 	}
@@ -412,6 +412,8 @@ func normalizeForOp(in isa.Inst) isa.Inst {
 		out.Rd, out.Imm = in.Rd, in.Imm
 	case isa.ORRrs, isa.ANDrs, isa.EORrs, isa.ADDrs, isa.SUBrs, isa.MUL, isa.SDIV:
 		out.Rd, out.Rn, out.Rm = in.Rd, in.Rn, in.Rm
+	case isa.MSUB:
+		out.Rd, out.Rn, out.Rm, out.Rd2 = in.Rd, in.Rn, in.Rm, in.Rd2
 	case isa.ADDri, isa.SUBri, isa.LSLri, isa.LSRri, isa.ASRri, isa.LDRui, isa.STRui,
 		isa.STRpre, isa.LDRpost:
 		out.Rd, out.Rn, out.Imm = in.Rd, in.Rn, in.Imm
@@ -426,4 +428,32 @@ func normalizeForOp(in isa.Inst) isa.Inst {
 	case isa.NOP:
 	}
 	return out
+}
+
+// ComputeLiveness allocates per block, never per instruction: the outliner
+// reruns it on every function in every round.
+func TestComputeLivenessAllocsIndependentOfLength(t *testing.T) {
+	body := []isa.Inst{
+		isa.MoveRR(isa.X0, isa.X19),
+		{Op: isa.ADDri, Rd: isa.X1, Rn: isa.X0, Imm: 8},
+		{Op: isa.STPui, Rd: isa.X0, Rd2: isa.X1, Rn: isa.SP, Imm: 16},
+		{Op: isa.LDPui, Rd: isa.X2, Rd2: isa.X3, Rn: isa.SP, Imm: 16},
+		{Op: isa.MSUB, Rd: isa.X4, Rn: isa.X2, Rm: isa.X3, Rd2: isa.X1},
+		{Op: isa.CMPri, Rn: isa.X4, Imm: 0},
+		{Op: isa.CSET, Rd: isa.X5, Cond: isa.EQ},
+		{Op: isa.BL, Sym: "callee"},
+		{Op: isa.STRui, Rd: isa.X5, Rn: isa.SP, Imm: 8},
+	}
+	allocs := func(n int) float64 {
+		b := &Block{Label: "entry"}
+		for len(b.Insts) < n-1 {
+			b.Insts = append(b.Insts, body[len(b.Insts)%len(body)])
+		}
+		b.Insts = append(b.Insts, isa.Inst{Op: isa.RET})
+		f := &Function{Name: "f", Blocks: []*Block{b}}
+		return testing.AllocsPerRun(20, func() { ComputeLiveness(f, DefaultExternLive) })
+	}
+	if small, large := allocs(10), allocs(1000); small != large {
+		t.Errorf("ComputeLiveness allocates %.1f times on 10 instructions and %.1f on 1000", small, large)
+	}
 }

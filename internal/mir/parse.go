@@ -220,8 +220,10 @@ func ParseInst(line string) (isa.Inst, error) {
 	switch op {
 	case isa.MOVZ:
 		err = firstErr(reg(&in.Rd), imm())
-	case isa.ORRrs, isa.ANDrs, isa.EORrs, isa.ADDrs, isa.SUBrs, isa.MUL, isa.SDIV, isa.MSUB:
+	case isa.ORRrs, isa.ANDrs, isa.EORrs, isa.ADDrs, isa.SUBrs, isa.MUL, isa.SDIV:
 		err = firstErr(reg(&in.Rd), reg(&in.Rn), reg(&in.Rm))
+	case isa.MSUB:
+		err = firstErr(reg(&in.Rd), reg(&in.Rn), reg(&in.Rm), reg(&in.Rd2))
 	case isa.ADDri, isa.SUBri, isa.LSLri, isa.LSRri, isa.ASRri, isa.LDRui, isa.STRui,
 		isa.STRpre, isa.LDRpost:
 		err = firstErr(reg(&in.Rd), reg(&in.Rn), imm())

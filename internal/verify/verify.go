@@ -532,7 +532,8 @@ func (fv *funcVerifier) stepFrame(bi, ii int, in isa.Inst, st frameState) frameS
 		st.lrEntry = false
 	default:
 		// Any other write to SP or LR is outside the verifier's model.
-		for _, d := range in.Defs(nil) {
+		var buf [4]isa.Reg
+		for _, d := range in.Defs(buf[:0]) {
 			switch d {
 			case isa.SP:
 				fv.violatef(bi, ii, "unmodeled write to SP by %s", in)
